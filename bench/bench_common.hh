@@ -80,9 +80,8 @@
 namespace conopt::bench {
 
 // The implementation lives in the src/sim library (src/sim/harness.hh)
-// so tools and the standing daemon link the exact same parser and
-// artifact pipeline; this header keeps the historical bench:: spelling
-// every table/figure binary uses.
+// so tests link the exact same parser and artifact pipeline; this
+// header keeps the bench:: spelling every table/figure binary uses.
 
 /** Harness options shared by every bench binary (see file header). */
 using HarnessOptions = sim::HarnessOptions;

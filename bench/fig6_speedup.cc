@@ -8,15 +8,9 @@
  * benchmark improves despite the two extra pipeline stages; mcf and
  * untoast stand out in their suites; mediabench has the largest overall
  * improvement.
- *
- * The sweep itself lives in the bench registry
- * (src/sim/bench_registry.hh) so conopt_served serves the identical
- * artifact; this binary prints the reporter table from the sweep
- * result and applies the save + baseline gate.
  */
 
 #include "bench/bench_common.hh"
-#include "src/sim/bench_registry.hh"
 
 using namespace conopt;
 
@@ -24,20 +18,13 @@ int
 main(int argc, char **argv)
 {
     const bench::HarnessOptions hopts = bench::harnessInit(argc, argv);
+    sim::SweepSpec spec;
+    spec.allWorkloads()
+        .config("base", pipeline::MachineConfig::baseline())
+        .config("opt", pipeline::MachineConfig::optimized());
 
-    sim::BenchContext ctx;
-    ctx.resultCache = hopts.resultCache;
-    ctx.onProgress = hopts.progressFn();
-    sim::SweepResult res;
-    ctx.resultOut = &res;
-
-    const sim::BenchDef *def = sim::findBench("fig6_speedup");
-    sim::BenchArtifact art;
-    std::string err;
-    if (!def->build(hopts.run, ctx, &art, &err)) {
-        std::fprintf(stderr, "fig6_speedup: %s\n", err.c_str());
-        return 1;
-    }
+    sim::SweepRunner runner(hopts.sweepOptions());
+    const auto res = runner.run(spec);
 
     sim::TableOptions t;
     t.title = "Figure 6: Speedup of continuous optimization over baseline";
@@ -46,7 +33,6 @@ main(int argc, char **argv)
     t.rows = sim::TableOptions::Rows::PerWorkloadBySuite;
     t.colWidth = 6;
     sim::TableReporter(t).print(res);
-    if (hopts.run.perf)
-        bench::printHostPercentiles(res);
-    return bench::finish("fig6_speedup", std::move(art), hopts);
+    return bench::finishSweep("fig6_speedup", res, t.baselineConfig,
+                              t.configs, hopts);
 }

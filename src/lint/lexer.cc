@@ -106,8 +106,9 @@ lex(std::string_view src)
                 size_t d = j + 2;  // delimiter start
                 while (d < n && src[d] != '(')
                     ++d;
-                const std::string delim =
-                    ")" + std::string(src.substr(j + 2, d - (j + 2))) + "\"";
+                std::string delim = ")";
+                delim += src.substr(j + 2, d - (j + 2));
+                delim += '"';
                 const size_t bodyStart = (d < n) ? d + 1 : n;
                 const size_t close = src.find(delim, bodyStart);
                 const size_t bodyEnd =

@@ -6,8 +6,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -16,17 +14,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/sim/baseline.hh"
-#include "src/sim/harness.hh"
-#include "src/sim/service.hh"
 
 namespace conopt::sim {
 
@@ -40,10 +33,6 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// parseU64Token/parseDoubleToken (the strict numeric-token
-// primitives this protocol shares with the SweepRequest decoder)
-// moved to src/sim/request.{hh,cc}.
 
 } // namespace
 
@@ -65,18 +54,6 @@ formatProgressLine(const SweepProgress &p)
                   p.etaSeconds, p.geomeanIpc, p.kips, p.hostP50, p.hostP95,
                   p.hostP99);
     std::string line = head;
-    // Daemon-backed shards carry their service context; ephemeral
-    // shards (both fields 0) keep the exact pre-existing bytes, and v1
-    // parsers skip the keys they don't know (regression-tested in
-    // tests/test_sweep_driver.cc).
-    if (p.queueDepth || p.sessions) {
-        char svc[96];
-        std::snprintf(svc, sizeof(svc),
-                      "queue_depth=%llu sessions=%llu ",
-                      (unsigned long long)p.queueDepth,
-                      (unsigned long long)p.sessions);
-        line += svc;
-    }
     line += "label=";
     return line + p.label;
 }
@@ -161,14 +138,6 @@ parseProgressLine(const std::string &lineIn, SweepProgress *out)
             if (!parseDoubleToken(val, &d))
                 return false;
             p.hostP99 = d;
-        } else if (key == "queue_depth") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.queueDepth = u;
-        } else if (key == "sessions") {
-            if (!parseU64Token(val, &u))
-                return false;
-            p.sessions = u;
         }
         // Unknown keys are skipped: a same-major-version harness may
         // append fields without breaking older drivers.
@@ -210,79 +179,6 @@ writeProgressLine(int fd, const SweepProgress &p)
 }
 
 // --------------------------------------------------------------------------
-// Launcher templates
-// --------------------------------------------------------------------------
-
-std::string
-shellQuote(const std::string &s)
-{
-    std::string out = "'";
-    for (char c : s) {
-        if (c == '\'')
-            out += "'\\''";
-        else
-            out += c;
-    }
-    out += '\'';
-    return out;
-}
-
-bool
-expandLauncher(const std::string &tmpl, const LauncherVars &vars,
-               std::string *out, std::string *err)
-{
-    std::string res;
-    bool sawCmd = false;
-    for (size_t i = 0; i < tmpl.size(); ++i) {
-        if (tmpl[i] != '{') {
-            res += tmpl[i];
-            continue;
-        }
-        const size_t close = tmpl.find('}', i);
-        if (close == std::string::npos) {
-            if (err)
-                *err = "unclosed '{' in launcher template at position " +
-                       std::to_string(i);
-            return false;
-        }
-        const std::string name = tmpl.substr(i + 1, close - i - 1);
-        if (name == "i") {
-            res += vars.shardIndex;
-        } else if (name == "n") {
-            res += vars.shardCount;
-        } else if (name == "cmd") {
-            res += vars.command;
-            sawCmd = true;
-        } else if (name == "host") {
-            if (vars.host.empty()) {
-                if (err)
-                    *err = "launcher template uses {host} but no --ssh "
-                           "hosts are configured";
-                return false;
-            }
-            res += vars.host;
-        } else {
-            if (err)
-                *err = "unknown placeholder '{" + name +
-                       "}' in launcher template (allowed: {i}, {n}, "
-                       "{cmd}, {host})";
-            return false;
-        }
-        i = close;
-    }
-    // A template without {cmd} is a pure wrapper ("srun", "nice -n
-    // 19", ...): run the bench command after it.
-    if (!sawCmd) {
-        if (!res.empty())
-            res += ' ';
-        res += vars.command;
-    }
-    if (out)
-        *out = std::move(res);
-    return true;
-}
-
-// --------------------------------------------------------------------------
 // Options, parsing, shard command composition
 // --------------------------------------------------------------------------
 
@@ -307,14 +203,6 @@ shardDirOf(const DriverOptions &opts)
 {
     return (fs::path(opts.run.artifactDir) / (opts.benchName + ".shards"))
         .string();
-}
-
-/** Does this configuration attach a --progress-fd pipe to the shards?
- *  Not over ssh: an inherited pipe fd does not cross the connection. */
-bool
-progressFdAttached(const DriverOptions &opts)
-{
-    return opts.streamProgress && opts.sshHosts.empty();
 }
 
 /** Validate a user-supplied bench/artifact name: it becomes a file
@@ -424,51 +312,6 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
                 return false;
             }
             o.retries = unsigned(n);
-        } else if (a == "--launcher") {
-            if (!value(a, &o.launcher))
-                return false;
-            if (o.launcher.empty()) {
-                *err = "--launcher requires a non-empty template";
-                return false;
-            }
-        } else if (a == "--ssh") {
-            if (!value(a, &v))
-                return false;
-            o.sshHosts.clear();
-            size_t start = 0;
-            while (start <= v.size()) {
-                size_t comma = v.find(',', start);
-                if (comma == std::string::npos)
-                    comma = v.size();
-                const std::string host = v.substr(start, comma - start);
-                if (host.empty()) {
-                    *err = "invalid --ssh '" + v +
-                           "' (want a comma-separated list of non-empty "
-                           "hosts)";
-                    return false;
-                }
-                o.sshHosts.push_back(host);
-                start = comma + 1;
-            }
-        } else if (a == "--connect") {
-            if (!value(a, &v))
-                return false;
-            o.connectHosts.clear();
-            size_t start = 0;
-            while (start <= v.size()) {
-                size_t comma = v.find(',', start);
-                if (comma == std::string::npos)
-                    comma = v.size();
-                const std::string host = v.substr(start, comma - start);
-                if (host.empty()) {
-                    *err = "invalid --connect '" + v +
-                           "' (want a comma-separated list of non-empty "
-                           "host:port or unix:PATH endpoints)";
-                    return false;
-                }
-                o.connectHosts.push_back(host);
-                start = comma + 1;
-            }
         } else if (a == "--no-progress") {
             o.streamProgress = false;
         } else if (!a.empty() && a[0] == '-') {
@@ -489,31 +332,6 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
         return false;
     }
     o.benchPath = positional[0];
-    if (!o.launcher.empty()) {
-        // Validate the template now: a malformed launcher must fail
-        // before any shard is spawned, not after n-1 of them ran.
-        LauncherVars probe{"0", std::to_string(o.shards), "cmd",
-                           o.sshHosts.empty() ? "" : "host"};
-        std::string expanded;
-        if (!expandLauncher(o.launcher, probe, &expanded, err))
-            return false;
-        // With both flags, the hosts exist solely to rotate through
-        // {host}; a template that never uses it would silently run
-        // every shard on the local machine.
-        if (!o.sshHosts.empty() &&
-            o.launcher.find("{host}") == std::string::npos) {
-            *err = "--ssh hosts are unused: the --launcher template "
-                   "does not contain {host}, so every shard would run "
-                   "locally";
-            return false;
-        }
-    }
-    if (!o.connectHosts.empty() &&
-        (!o.launcher.empty() || !o.sshHosts.empty())) {
-        *err = "--connect drives a standing fleet and cannot be "
-               "combined with --launcher or --ssh";
-        return false;
-    }
     if (o.benchName.empty()) {
         o.benchName = fs::path(o.benchPath).filename().string();
         if (!validBenchName(o.benchName)) {
@@ -527,7 +345,7 @@ parseDriverArgs(const std::vector<std::string> &args, DriverOptions *out,
 }
 
 std::vector<std::string>
-buildShardArgv(const DriverOptions &opts, unsigned index, std::string *err)
+buildShardArgv(const DriverOptions &opts, unsigned index)
 {
     std::vector<std::string> bench;
     bench.push_back(resolveBenchPath(opts.benchPath));
@@ -540,45 +358,13 @@ buildShardArgv(const DriverOptions &opts, unsigned index, std::string *err)
         bench.push_back("--result-cache");
         bench.push_back(opts.run.resultCacheDir);
     }
-    if (progressFdAttached(opts)) {
+    if (opts.streamProgress) {
         // The driver dup2()s the progress pipe to fd 3 in the child.
         bench.push_back("--progress-fd");
         bench.push_back("3");
     }
     bench.insert(bench.end(), opts.benchArgs.begin(), opts.benchArgs.end());
-
-    if (opts.launcher.empty() && opts.sshHosts.empty())
-        return bench;
-
-    std::string cmd;
-    for (const auto &a : bench) {
-        if (!cmd.empty())
-            cmd += ' ';
-        cmd += shellQuote(a);
-    }
-    const std::string host =
-        opts.sshHosts.empty()
-            ? std::string()
-            : opts.sshHosts[index % opts.sshHosts.size()];
-    if (opts.launcher.empty()) {
-        // Built-in ssh wrapper. Remote shards assume a shared
-        // filesystem: cd to the driver's working directory so relative
-        // bench/artifact/cache paths resolve to the same files on
-        // every host.
-        std::error_code ec;
-        const std::string cwd = fs::current_path(ec).string();
-        return {"ssh", "-oBatchMode=yes", host,
-                "cd " + shellQuote(cwd) + " && " + cmd};
-    }
-    // A launcher template takes over the wrapping entirely; --ssh then
-    // only supplies the round-robin {host} rotation (e.g.
-    // --launcher 'ssh {host} timeout 3600 {cmd}' --ssh h1,h2).
-    LauncherVars vars{std::to_string(index), std::to_string(opts.shards),
-                      cmd, host};
-    std::string expanded;
-    if (!expandLauncher(opts.launcher, vars, &expanded, err))
-        return {};
-    return {"/bin/sh", "-c", expanded};
+    return bench;
 }
 
 // --------------------------------------------------------------------------
@@ -592,11 +378,11 @@ constexpr int kPollMillis = 50;
 constexpr double kRenderIntervalSeconds = 0.5;
 /** How long after a shard's own exit the driver keeps waiting for its
  *  pipes to reach EOF before force-closing them: a descendant that
- *  inherited the write ends (a daemonized helper, a backgrounded
- *  launcher wrapper) must not be able to hang the whole fleet. */
+ *  inherited the write ends (a daemonized helper) must not be able to
+ *  hang the whole sweep. */
 constexpr double kExitDrainGraceSeconds = 2.0;
 
-/** Set by the SIGINT/SIGTERM handler while a fleet is running, so an
+/** Set by the SIGINT/SIGTERM handler while shards are running, so an
  *  interrupted driver kills and reaps its shards instead of orphaning
  *  them (an orphan would keep simulating and later rewrite shard
  *  artifacts underneath a rerun). */
@@ -696,10 +482,8 @@ struct LiveShard
 bool
 spawnShard(const DriverOptions &opts, LiveShard &s, std::string *err)
 {
-    const auto argv = buildShardArgv(opts, s.index, err);
-    if (argv.empty())
-        return false;
-    const bool wantProgress = progressFdAttached(opts);
+    const auto argv = buildShardArgv(opts, s.index);
+    const bool wantProgress = opts.streamProgress;
 
     int outPipe[2] = {-1, -1}, progPipe[2] = {-1, -1};
     if (::pipe(outPipe) != 0) {
@@ -722,8 +506,8 @@ spawnShard(const DriverOptions &opts, LiveShard &s, std::string *err)
         return false;
     }
     if (pid == 0) {
-        // Child. Own process group, so a timeout kill reaches sh/ssh
-        // wrappers and their children, not just the immediate process.
+        // Child. Own process group, so a timeout kill reaches the
+        // bench's own children, not just the immediate process.
         ::setpgid(0, 0);
         ::dup2(outPipe[1], 1);
         ::dup2(outPipe[1], 2);
@@ -840,22 +624,14 @@ renderProgress(const std::vector<LiveShard> &shards)
             std::snprintf(buf, sizeof(buf), "  shard%u %zu/%zu eta %.0fs",
                           s.index, s.progress.done, s.progress.total,
                           s.progress.etaSeconds);
-        // Live fleet observability (when the shard's harness measures
-        // it): running host throughput plus per-job host-latency
-        // percentiles, the numbers a served fleet would alert on.
+        // Host throughput plus per-job host-latency percentiles, once
+        // the shard's harness has measured them.
         if (len > 0 && size_t(len) < sizeof(buf) &&
             (s.progress.kips > 0.0 || s.progress.hostP99 > 0.0))
-            len += std::snprintf(buf + len, sizeof(buf) - size_t(len),
-                                 " %.0fkips p50/p95/p99 %.3f/%.3f/%.3fs",
-                                 s.progress.kips, s.progress.hostP50,
-                                 s.progress.hostP95, s.progress.hostP99);
-        // Daemon-backed shards also report their service context.
-        if (len > 0 && size_t(len) < sizeof(buf) &&
-            (s.progress.queueDepth || s.progress.sessions))
             std::snprintf(buf + len, sizeof(buf) - size_t(len),
-                          " q%llu sess%llu",
-                          (unsigned long long)s.progress.queueDepth,
-                          (unsigned long long)s.progress.sessions);
+                          " %.0fkips p50/p95/p99 %.3f/%.3f/%.3fs",
+                          s.progress.kips, s.progress.hostP50,
+                          s.progress.hostP95, s.progress.hostP99);
         per += buf;
     }
     if (any)
@@ -908,9 +684,6 @@ printOutputTail(const LiveShard &s)
 void mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
                         DriverOutcome *outp);
 
-bool runConnectFleet(const DriverOptions &opts, const std::string &sdir,
-                     DriverOutcome *outp);
-
 } // namespace
 
 DriverOutcome
@@ -930,23 +703,16 @@ runSweepDriver(const DriverOptions &optsIn)
         return out;
     }
 
-    // Local direct-exec mode fails fast on a missing binary; launcher
-    // and ssh commands can only be validated by running them, and in
-    // --connect mode the positional argument is a registered bench
-    // name the daemon resolves, not a local binary.
-    if (opts.connectHosts.empty() && opts.launcher.empty() &&
-        opts.sshHosts.empty()) {
-        const std::string resolved = resolveBenchPath(opts.benchPath);
-        std::error_code ec;
-        if (resolved.find('/') != std::string::npos &&
-            !fs::exists(resolved, ec)) {
-            out.error = "bench binary '" + opts.benchPath + "' not found";
-            return out;
-        }
+    // Fail fast on a missing binary, before any directory is touched.
+    std::error_code ec;
+    const std::string resolved = resolveBenchPath(opts.benchPath);
+    if (resolved.find('/') != std::string::npos &&
+        !fs::exists(resolved, ec)) {
+        out.error = "bench binary '" + opts.benchPath + "' not found";
+        return out;
     }
 
     const std::string sdir = shardDirOf(opts);
-    std::error_code ec;
     fs::create_directories(opts.run.artifactDir, ec);
     fs::create_directories(sdir, ec);
     if (ec) {
@@ -968,22 +734,10 @@ runSweepDriver(const DriverOptions &optsIn)
         return out;
     }
 
-    if (!opts.connectHosts.empty()) {
-        // Daemon-backed mode: no child processes — each shard is a
-        // SweepRequest against the standing fleet, and the returned
-        // artifact bytes land in the same shard directory the
-        // ephemeral path uses, so the merge/gate below is shared.
-        SignalGuard signalGuard;
-        if (!runConnectFleet(opts, sdir, &out))
-            return out;
-        mergeVerifyAndGate(opts, sdir, &out);
-        return out;
-    }
-
     const unsigned maxAttempts = opts.retries + 1;
     // From here on the driver owns child processes: catch SIGINT /
-    // SIGTERM so an interrupted run kills and reaps its fleet instead
-    // of orphaning shards that would keep writing artifacts.
+    // SIGTERM so an interrupted run kills and reaps its shards instead
+    // of orphaning them to keep writing artifacts.
     SignalGuard signalGuard;
     std::vector<LiveShard> shards(opts.shards);
     for (unsigned i = 0; i < opts.shards; ++i) {
@@ -1008,7 +762,7 @@ runSweepDriver(const DriverOptions &optsIn)
     std::string abortReason;
     while (live > 0) {
         if (gDriverInterrupted && abortReason.empty()) {
-            abortReason = "interrupted; fleet killed";
+            abortReason = "interrupted; shards killed";
             std::fprintf(stderr,
                          "[conopt_sweep] interrupted; killing %zu "
                          "running shard(s)\n",
@@ -1035,11 +789,11 @@ runSweepDriver(const DriverOptions &optsIn)
             const int pr = ::poll(pfds.data(), nfds_t(pfds.size()),
                                   kPollMillis);
             if (pr < 0 && errno != EINTR) {
-                // A broken event loop cannot supervise the fleet:
+                // A broken event loop cannot supervise the shards:
                 // kill and reap everything (recorded as aborted, so
                 // no half-finished shard masquerades as success).
                 abortReason = std::string("poll failed: ") +
-                              std::strerror(errno) + "; fleet killed";
+                              std::strerror(errno) + "; shards killed";
                 killRemaining(shards);
                 break;
             }
@@ -1090,7 +844,7 @@ runSweepDriver(const DriverOptions &optsIn)
                 // backgrounded wrapper). Kill the stragglers, take
                 // any last buffered bytes, and finalize on the
                 // shard's own exit status — a leaked fd must never
-                // hang the fleet or defeat the timeout.
+                // hang the sweep or defeat the timeout.
                 ::kill(-s.pid, SIGKILL);
                 if (s.outFd >= 0)
                     drainFd(s, s.outFd, false);
@@ -1196,66 +950,13 @@ runSweepDriver(const DriverOptions &optsIn)
     return out;
 }
 
-// --------------------------------------------------------------------------
-// Connect-mode scheduling (--connect)
-// --------------------------------------------------------------------------
-
-bool
-parseHealthzQueueDepth(const std::string &json, uint64_t *depth)
-{
-    static constexpr char key[] = "\"queue_depth\":";
-    const size_t pos = json.find(key);
-    if (pos == std::string::npos)
-        return false;
-    size_t i = pos + sizeof(key) - 1;
-    while (i < json.size() &&
-           std::isspace(static_cast<unsigned char>(json[i])))
-        ++i;
-    if (i >= json.size() ||
-        !std::isdigit(static_cast<unsigned char>(json[i])))
-        return false;
-    uint64_t v = 0;
-    for (; i < json.size() &&
-           std::isdigit(static_cast<unsigned char>(json[i]));
-         ++i)
-        v = v * 10 + uint64_t(json[i] - '0');
-    *depth = v;
-    return true;
-}
-
-size_t
-pickConnectEndpoint(const std::vector<std::string> &endpoints,
-                    size_t rotation, const HealthzProbeFn &probe)
-{
-    const size_t n = endpoints.size();
-    size_t best = rotation % n;
-    uint64_t bestDepth = UINT64_MAX;
-    bool anyProbed = false;
-    // Rotation-order walk: the first endpoint probed is the one blind
-    // round-robin would have picked, and only a STRICTLY smaller depth
-    // displaces it, so equal-depth fleets and all-probe-failure both
-    // reproduce the historical schedule exactly.
-    for (size_t i = 0; i < n; ++i) {
-        const size_t idx = (rotation + i) % n;
-        uint64_t d = 0;
-        if (!probe(endpoints[idx], &d))
-            continue;
-        if (!anyProbed || d < bestDepth) {
-            anyProbed = true;
-            bestDepth = d;
-            best = idx;
-        }
-    }
-    return best;
-}
-
 namespace {
 
-/** The shared back half of both driver modes (ephemeral shards and
- *  --connect): verify every expected shard artifact exists, merge the
- *  shard directory, recompute the deferred figure geomeans, save the
- *  merged artifact, and gate it against the baseline. Fills
- *  out->exitCode/error/mergedArtifactPath/gateDiffs. */
+/** The back half of a run once every shard exited 0: verify every
+ *  expected shard artifact exists, merge the shard directory, recompute
+ *  the deferred figure geomeans, save the merged artifact, and gate it
+ *  against the baseline. Fills out->exitCode/error/mergedArtifactPath/
+ *  gateDiffs. */
 void
 mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
                    DriverOutcome *outp)
@@ -1385,367 +1086,7 @@ mergeVerifyAndGate(const DriverOptions &opts, const std::string &sdir,
     out.exitCode = 0;
 }
 
-// --------------------------------------------------------------------------
-// --connect: daemon-backed shards
-// --------------------------------------------------------------------------
-
-/** Mutable state of one daemon-backed shard request: the --connect
- *  analogue of LiveShard (no pid/fds — the "process" is a standing
- *  daemon on the other end of a socket). */
-struct ConnectShard
-{
-    unsigned index = 0;
-    unsigned attempts = 0;
-    bool ok = false;
-    bool aborted = false;   ///< interrupted; never counts as ok
-    std::string error;      ///< last attempt's failure, for the report
-    double seconds = 0.0;   ///< last attempt's wall-clock duration
-    size_t progressLines = 0;
-    bool haveProgress = false;
-    SweepProgress progress;
-    std::mutex mu; ///< guards progress/haveProgress/progressLines
-    std::atomic<bool> done{false};
-};
-
-/** One request against one endpoint: connect, send, stream progress,
- *  persist the returned artifact bytes verbatim to @p artPath (the
- *  daemon sends BenchArtifact::toJson() text, so the written file is
- *  byte-identical to what an ephemeral shard's save() produces).
- *  False with @p failMsg on anything short of a written artifact. */
-bool
-connectAttempt(const DriverOptions &opts, const SweepRequest &req,
-               const std::string &endpoint, const std::string &artPath,
-               ConnectShard &cs, std::string *failMsg)
-{
-    std::string err;
-    const int fd = connectToService(endpoint, &err);
-    if (fd < 0) {
-        *failMsg = err;
-        return false;
-    }
-    if (!writeFrame(fd, makeRunFrame(req), &err)) {
-        ::close(fd);
-        *failMsg = endpoint + ": " + err;
-        return false;
-    }
-    FrameReader rd;
-    const auto start = Clock::now();
-    bool ok = false;
-    bool terminal = false;
-    while (!terminal) {
-        if (gDriverInterrupted) {
-            *failMsg = "interrupted";
-            cs.aborted = true;
-            break;
-        }
-        if (opts.timeoutSeconds > 0.0 &&
-            secondsSince(start) > opts.timeoutSeconds) {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "timed out after %.1fs",
-                          opts.timeoutSeconds);
-            *failMsg = endpoint + ": " + buf;
-            break;
-        }
-        // Bounded poll slices keep the interrupt flag and the
-        // per-attempt deadline live while waiting on the daemon.
-        pollfd pfd{fd, POLLIN, 0};
-        const int pr = ::poll(&pfd, 1, kPollMillis);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            *failMsg = endpoint + ": poll: " + std::strerror(errno);
-            break;
-        }
-        if (pr == 0)
-            continue;
-        char buf[4096];
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK)
-                continue;
-            *failMsg = endpoint + ": read: " + std::strerror(errno);
-            break;
-        }
-        if (n == 0) {
-            *failMsg = endpoint + ": connection closed before a result";
-            break;
-        }
-        rd.feed(buf, size_t(n));
-        for (;;) {
-            std::string payload, perr;
-            const int got = rd.next(&payload, &perr);
-            if (got == 0)
-                break;
-            if (got < 0) {
-                *failMsg = endpoint + ": " + perr;
-                terminal = true;
-                break;
-            }
-            ServerFrame f;
-            if (!parseServerFrame(payload, &f, &perr)) {
-                *failMsg = endpoint + ": " + perr;
-                terminal = true;
-                break;
-            }
-            if (f.type == ServerFrame::Type::Progress) {
-                SweepProgress p;
-                if (parseProgressLine(f.line, &p)) {
-                    std::lock_guard<std::mutex> lk(cs.mu);
-                    cs.progress = std::move(p);
-                    cs.haveProgress = true;
-                    ++cs.progressLines;
-                }
-                // Non-protocol progress lines are ignored, like the
-                // ephemeral path's progress-fd parser.
-            } else if (f.type == ServerFrame::Type::Result) {
-                std::FILE *af = std::fopen(artPath.c_str(), "w");
-                if (!af) {
-                    *failMsg = "cannot write " + artPath + ": " +
-                               std::strerror(errno);
-                } else {
-                    std::fwrite(f.artifact.data(), 1, f.artifact.size(),
-                                af);
-                    if (std::fclose(af) == 0)
-                        ok = true;
-                    else
-                        *failMsg = "cannot write " + artPath;
-                }
-                terminal = true;
-            } else if (f.type == ServerFrame::Type::Error) {
-                *failMsg = endpoint + ": daemon error (code " +
-                           std::to_string(f.code) + "): " + f.message;
-                terminal = true;
-            }
-            // A healthz frame mid-run would be a daemon bug; skip it.
-            if (terminal)
-                break;
-        }
-    }
-    ::close(fd);
-    cs.seconds = secondsSince(start);
-    return ok;
-}
-
-/** Real healthz probe of one endpoint: connect, send a healthz frame,
- *  and extract queue_depth from the reply. Bounded by a short timeout
- *  so a wedged daemon costs the scheduler ~2s, never a full attempt;
- *  any failure just reports the endpoint as unprobeable (the picker
- *  then treats it as infinitely busy). */
-bool
-probeEndpointQueueDepth(const std::string &endpoint, uint64_t *depth)
-{
-    constexpr double kHealthzTimeoutSeconds = 2.0;
-    std::string err;
-    const int fd = connectToService(endpoint, &err);
-    if (fd < 0)
-        return false;
-    bool ok = false;
-    std::string payload;
-    FrameReader rd;
-    if (writeFrame(fd, makeHealthzFrame(), &err) &&
-        readFrame(fd, &rd, &payload, kHealthzTimeoutSeconds, &err)) {
-        ServerFrame f;
-        std::string perr;
-        if (parseServerFrame(payload, &f, &perr) &&
-            f.type == ServerFrame::Type::Healthz)
-            ok = parseHealthzQueueDepth(f.body, depth);
-    }
-    ::close(fd);
-    return ok;
-}
-
-/** One shard's full retry loop against the fleet (runs on its own
- *  thread). Each attempt asks every daemon's healthz for its queue
- *  depth and targets the least-loaded one; ties, single-endpoint
- *  fleets, and probe failures fall back to the historical rotation
- *  (index + attempt), so a dead daemon only costs its shards one
- *  attempt each. */
-void
-runConnectShard(const DriverOptions &opts, const SweepRequest &base,
-                const std::string &sdir, ConnectShard &cs)
-{
-    const unsigned maxAttempts = opts.retries + 1;
-    SweepRequest req = base;
-    req.run.shard.index = cs.index;
-    req.run.shard.count = opts.shards;
-    const std::string artPath =
-        (fs::path(sdir) /
-         shardArtifactName(opts.benchName, cs.index, opts.shards))
-            .string();
-    while (cs.attempts < maxAttempts && !cs.ok && !cs.aborted) {
-        if (gDriverInterrupted) {
-            cs.aborted = true;
-            break;
-        }
-        // Load-aware pick; with one endpoint there is nothing to
-        // choose, so skip the probe round-trip entirely.
-        const size_t rotation = cs.index + cs.attempts;
-        const size_t slot =
-            opts.connectHosts.size() == 1
-                ? 0
-                : pickConnectEndpoint(opts.connectHosts, rotation,
-                                      probeEndpointQueueDepth);
-        const std::string &endpoint = opts.connectHosts[slot];
-        ++cs.attempts;
-        std::string failMsg;
-        if (connectAttempt(opts, req, endpoint, artPath, cs, &failMsg)) {
-            cs.ok = true;
-            std::fprintf(stderr,
-                         "[conopt_sweep] shard %u/%u: ok in %.1fs "
-                         "(attempt %u, %s)\n",
-                         cs.index, opts.shards, cs.seconds, cs.attempts,
-                         endpoint.c_str());
-            break;
-        }
-        cs.error = failMsg;
-        if (cs.aborted)
-            break;
-        {
-            // A retry starts from zero, like a respawned shard.
-            std::lock_guard<std::mutex> lk(cs.mu);
-            cs.haveProgress = false;
-            cs.progress = SweepProgress{};
-        }
-        std::error_code ec;
-        fs::remove(artPath, ec);
-        if (cs.attempts < maxAttempts)
-            std::fprintf(
-                stderr,
-                "[conopt_sweep] shard %u/%u attempt %u failed (%s); "
-                "retrying (%u attempt%s left)\n",
-                cs.index, opts.shards, cs.attempts, failMsg.c_str(),
-                maxAttempts - cs.attempts,
-                maxAttempts - cs.attempts == 1 ? "" : "s");
-    }
-    cs.done.store(true);
-}
-
-/** Aggregate progress line for the connect fleet, through the same
- *  renderer as the ephemeral path. */
-void
-renderConnectProgress(
-    const std::vector<std::unique_ptr<ConnectShard>> &shards)
-{
-    std::vector<LiveShard> snap(shards.size());
-    for (size_t i = 0; i < shards.size(); ++i) {
-        std::lock_guard<std::mutex> lk(shards[i]->mu);
-        snap[i].index = shards[i]->index;
-        snap[i].haveProgress = shards[i]->haveProgress;
-        snap[i].progress = shards[i]->progress;
-    }
-    renderProgress(snap);
-}
-
-/** The --connect engine: dispatch every shard as a SweepRequest to
- *  the standing fleet and collect the artifacts into @p sdir. True
- *  when every shard succeeded (the caller then merges and gates);
- *  false with out->error/exitCode/shards filled. */
-bool
-runConnectFleet(const DriverOptions &opts, const std::string &sdir,
-                DriverOutcome *outp)
-{
-    DriverOutcome &out = *outp;
-    // The bench's `-- args` parse exactly as an ephemeral shard would
-    // parse them (same flags, same CONOPT_* environment, same exit-2
-    // contract), so a daemon-backed run describes the same work.
-    const HarnessOptions hopts = HarnessOptions::parseArgs(opts.benchArgs);
-    SweepRequest base;
-    base.bench = opts.benchName;
-    base.run = hopts.run;
-    // Capture this client's environment into the wire request: the
-    // daemon must reproduce the client's run, never its own
-    // environment.
-    if (base.run.scale == 0)
-        base.run.scale = envScale();
-    if (base.run.threads == 0)
-        base.run.threads = envThreads();
-    // The daemon never touches client paths; the artifact comes back
-    // as bytes and the gate runs client-side after the merge.
-    base.run.artifactDir.clear();
-    base.run.baselinePath.clear();
-    base.run.resultCacheDir.clear();
-    base.run.emitArtifact = true;
-
-    std::vector<std::unique_ptr<ConnectShard>> shards;
-    shards.reserve(opts.shards);
-    for (unsigned i = 0; i < opts.shards; ++i) {
-        shards.push_back(std::make_unique<ConnectShard>());
-        shards.back()->index = i;
-    }
-    std::fprintf(stderr,
-                 "[conopt_sweep] dispatching %u shard%s of %s to %zu "
-                 "endpoint%s (artifacts in %s)\n",
-                 opts.shards, opts.shards == 1 ? "" : "s",
-                 opts.benchName.c_str(), opts.connectHosts.size(),
-                 opts.connectHosts.size() == 1 ? "" : "s",
-                 sdir.c_str());
-    std::vector<std::thread> threads;
-    threads.reserve(opts.shards);
-    for (auto &cs : shards)
-        threads.emplace_back([&opts, &base, &sdir, &cs] {
-            runConnectShard(opts, base, sdir, *cs);
-        });
-
-    auto lastRender = Clock::now();
-    for (;;) {
-        bool allDone = true;
-        for (const auto &cs : shards)
-            if (!cs->done.load()) {
-                allDone = false;
-                break;
-            }
-        if (allDone)
-            break;
-        ::poll(nullptr, 0, kPollMillis);
-        if (opts.streamProgress &&
-            secondsSince(lastRender) >= kRenderIntervalSeconds) {
-            renderConnectProgress(shards);
-            lastRender = Clock::now();
-        }
-    }
-    for (auto &t : threads)
-        t.join();
-
-    unsigned failures = 0;
-    for (const auto &csp : shards) {
-        const ConnectShard &cs = *csp;
-        ShardOutcome so;
-        so.index = cs.index;
-        so.attempts = cs.attempts;
-        so.ok = cs.ok && !cs.aborted;
-        so.exitStatus = so.ok ? 0 : 2;
-        so.seconds = cs.seconds;
-        so.outputTail = cs.error;
-        so.progressLines = cs.progressLines;
-        if (!so.ok) {
-            ++failures;
-            std::fprintf(stderr,
-                         "[conopt_sweep] shard %u/%u FAILED after %u "
-                         "attempt%s (%s)\n",
-                         cs.index, opts.shards, cs.attempts,
-                         cs.attempts == 1 ? "" : "s",
-                         cs.error.c_str());
-        }
-        out.shards.push_back(std::move(so));
-    }
-    if (gDriverInterrupted) {
-        out.error = "interrupted; not merging";
-        out.exitCode = 2;
-        return false;
-    }
-    if (failures > 0) {
-        out.error = std::to_string(failures) + " of " +
-                    std::to_string(opts.shards) +
-                    " shard(s) failed; not merging";
-        out.exitCode = 2;
-        return false;
-    }
-    return true;
-}
-
 } // namespace
-
 
 // --------------------------------------------------------------------------
 // CLI
@@ -1778,18 +1119,6 @@ constexpr const char *kUsage =
     "none)\n"
     "  --retries K             extra attempts per failed shard "
     "(default 1)\n"
-    "  --launcher TMPL         wrap shard commands; {i} {n} {cmd} "
-    "{host}\n"
-    "                          placeholders ({cmd} appended if absent;\n"
-    "                          {host} rotates over the --ssh list)\n"
-    "  --ssh H1,H2,...         run shards round-robin over ssh hosts\n"
-    "                          (assumes a shared filesystem; with\n"
-    "                          --launcher, only supplies {host})\n"
-    "  --connect A1,A2,...     send shards to standing conopt_served\n"
-    "                          daemons (host:port or unix:PATH) instead\n"
-    "                          of spawning processes; <bench> is then a\n"
-    "                          registered bench name (see README\n"
-    "                          \"Standing fleet\")\n"
     "  --no-progress           do not stream per-shard progress/ETA\n"
     "exit status: 0 merged artifact ok, 1 baseline drift, 2 error\n";
 

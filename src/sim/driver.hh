@@ -1,9 +1,9 @@
 /**
  * @file
- * conopt_sweep: the distributed sweep driver. One command that turns
+ * conopt_sweep: the local sharded-sweep driver. One command that turns
  * the sharded-sweep primitives (ShardSpec partitioning, per-shard
  * BENCH_*.shard<i>of<n>.json artifacts, the persistent ResultCache,
- * and the conopt_bench_check merge/gate) into a fleet-style run:
+ * and the conopt_bench_check merge/gate) into a single run:
  *
  *   conopt_sweep --shards 4 --baseline bench/baselines fig6_speedup
  *
@@ -22,12 +22,8 @@
  *     writeProgressLine — the machine-readable form of SweepProgress
  *     that bench binaries emit on `--progress-fd N` and the driver
  *     multiplexes into one aggregate ETA line
- *   - LauncherVars/expandLauncher + shellQuote: the `--launcher`
- *     command-template mechanism ({i}, {n}, {cmd}, {host}) that wraps
- *     shard commands for srun/env-setup/ssh-style launchers
  *   - DriverOptions/parseDriverArgs/buildShardArgv: CLI parsing and
- *     per-shard command composition (local exec, template, or --ssh
- *     round-robin over hosts; remote modes assume a shared filesystem)
+ *     per-shard command composition
  *   - runSweepDriver/ShardOutcome/DriverOutcome: the spawn/wait/retry/
  *     merge/gate engine, exposed as a library so
  *     tests/test_sweep_driver.cc covers it in-process
@@ -37,8 +33,6 @@
 #ifndef CONOPT_SIM_DRIVER_HH
 #define CONOPT_SIM_DRIVER_HH
 
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -62,12 +56,11 @@ constexpr unsigned kProgressLineVersion = 1;
  *      eta_s=X geomean_ipc=G kips=K host_p50=A host_p95=B host_p99=C
  *      label=LABEL
  *  Doubles use %.17g, so format -> parse round-trips exactly; the
- *  label is last and runs to end of line. The kips/host_p* fields are
- *  the fleet-observability extension (running host throughput and
- *  per-job host-latency percentiles); they ride within v1 because the
- *  parser has always skipped unknown keys, so older drivers keep
- *  reading new-harness lines and this parser reads old lines (the
- *  fields just stay 0). */
+ *  label is last and runs to end of line. The kips/host_p* fields
+ *  (running host throughput and per-job host-latency percentiles)
+ *  were added within v1: the parser has always skipped unknown keys,
+ *  so older drivers keep reading new-harness lines and this parser
+ *  reads old lines (the fields just stay 0). */
 std::string formatProgressLine(const SweepProgress &p);
 
 /** Parse one protocol line (trailing newline tolerated). False on
@@ -83,64 +76,10 @@ bool parseProgressLine(const std::string &line, SweepProgress *out);
 void writeProgressLine(int fd, const SweepProgress &p);
 
 // --------------------------------------------------------------------------
-// Connect-mode scheduling (--connect)
-// --------------------------------------------------------------------------
-
-/** Extract queue_depth from a conopt_served healthz JSON body. True
- *  with *depth filled when a `"queue_depth":<digits>` member is
- *  present; false (depth untouched) otherwise. A targeted scan, not a
- *  JSON parser: the daemon emits the healthz object itself, so the key
- *  never appears inside a string value. */
-bool parseHealthzQueueDepth(const std::string &json, uint64_t *depth);
-
-/** One healthz probe of @p endpoint ("host:port"). True with *depth
- *  filled on success; false when the daemon is unreachable or the
- *  reply is malformed. Injected into pickConnectEndpoint so the
- *  scheduling policy is testable without sockets. */
-using HealthzProbeFn =
-    std::function<bool(const std::string &endpoint, uint64_t *depth)>;
-
-/** Pick the least-loaded endpoint for the next connect attempt: probe
- *  every endpoint starting at @p rotation (so ties and total probe
- *  failure reproduce the historical rotating round-robin exactly), and
- *  return the index of the strictly smallest queue depth in rotation
- *  order. Endpoints whose probe fails are treated as infinitely busy;
- *  when every probe fails the rotation slot itself is returned, which
- *  is the old blind behavior and lets the attempt surface the real
- *  connection error. @p endpoints must be non-empty. */
-size_t pickConnectEndpoint(const std::vector<std::string> &endpoints,
-                           size_t rotation, const HealthzProbeFn &probe);
-
-// --------------------------------------------------------------------------
-// Launcher templates
-// --------------------------------------------------------------------------
-
-/** @p s single-quoted for POSIX sh (embedded quotes escaped). */
-std::string shellQuote(const std::string &s);
-
-/** Substitution values for expandLauncher(). */
-struct LauncherVars
-{
-    std::string shardIndex; ///< {i}
-    std::string shardCount; ///< {n}
-    std::string command;    ///< {cmd}: the shell-quoted bench command
-    std::string host;       ///< {host}: the shard's ssh host ("" = none)
-};
-
-/** Expand a `--launcher` template: {i}, {n}, {cmd}, and {host} are
- *  replaced from @p vars; a template without {cmd} gets the command
- *  appended (so `--launcher 'srun {i} {n}'` still runs the bench).
- *  {host} comes from the --ssh host list (round-robin per shard).
- *  False (with @p err) on malformed input: an unknown placeholder, an
- *  unclosed brace, or {host} when no host is configured. */
-bool expandLauncher(const std::string &tmpl, const LauncherVars &vars,
-                    std::string *out, std::string *err);
-
-// --------------------------------------------------------------------------
 // Driver options and CLI parsing
 // --------------------------------------------------------------------------
 
-/** Everything `conopt_sweep` needs to run one distributed sweep. */
+/** Everything `conopt_sweep` needs to run one sharded sweep. */
 struct DriverOptions
 {
     std::string benchPath; ///< bench binary (resolved via ./ then PATH)
@@ -148,59 +87,33 @@ struct DriverOptions
     std::vector<std::string> benchArgs; ///< extra args after `--`
 
     unsigned shards = 2;         ///< shard process count (>= 1)
-    /** The canonical run description (src/sim/request.hh). The driver
-     *  consumes run.artifactDir (the merged artifact lands here; the
-     *  per-shard files go to a driver-owned `<name>.shards/`
-     *  subdirectory that is cleaned of stale artifacts first),
-     *  run.resultCacheDir (forwarded to every shard when set),
-     *  run.baselinePath (file or directory; "" = no gate), and
-     *  run.tolerance (0 = exact). In --connect mode the rest of the
-     *  RunOptions travels to the daemons as the SweepRequest body. */
+    /** The run description (src/sim/request.hh). The driver consumes
+     *  run.artifactDir (the merged artifact lands here; the per-shard
+     *  files go to a driver-owned `<name>.shards/` subdirectory that
+     *  is cleaned of stale artifacts first), run.resultCacheDir
+     *  (forwarded to every shard when set), run.baselinePath (file or
+     *  directory; "" = no gate), and run.tolerance (0 = exact). */
     RunOptions run;
     std::string geomeanBase;     ///< non-empty: recompute merged figure
                                  ///< geomeans over this base config
     double timeoutSeconds = 0.0; ///< per shard attempt; 0 = none
     unsigned retries = 1;        ///< extra attempts per failed shard
-    /** Command template wrapping each shard ("" = direct exec). When
-     *  set, it takes over the wrapping entirely — sshHosts then only
-     *  supplies the round-robin {host} rotation. */
-    std::string launcher;
-    /** Round-robin host placement (assumes a shared filesystem).
-     *  Without a launcher template, shards run through the built-in
-     *  `ssh -oBatchMode=yes <host> 'cd <cwd> && <cmd>'` wrapper; note
-     *  a --timeout kill then reaches only the local ssh client, not
-     *  the remote process — bound remote runtimes remotely too, e.g.
-     *  `--launcher 'ssh {host} timeout N {cmd}' --ssh h1,h2`. */
-    std::vector<std::string> sshHosts;
-    /** `--connect host:port[,host:port...]` / `--connect unix:PATH`:
-     *  instead of spawning shard processes, send each shard as a
-     *  SweepRequest to a standing conopt_served fleet (round-robin
-     *  over the endpoints, rotating on retry) and write the returned
-     *  artifacts into the same shard directory — the merge, geomean
-     *  recompute, and baseline gate are byte-identical to the
-     *  ephemeral path. The positional bench argument is then a
-     *  *registered bench name* (src/sim/bench_registry.hh), not a
-     *  binary path. Mutually exclusive with --launcher/--ssh. */
-    std::vector<std::string> connectHosts;
     bool streamProgress = true;  ///< attach --progress-fd + render ETA
 };
 
 /** Parse `conopt_sweep` CLI arguments into @p out. False (with a
  *  usage-ready message in @p err) on malformed input: an unknown flag,
  *  `--shards 0` or garbage counts, a bad timeout/tolerance/retries
- *  value, an invalid launcher template, an empty --ssh host, --ssh
- *  combined with a launcher template that never uses {host} (every
- *  shard would silently run locally), or a missing bench argument. */
+ *  value, or a missing bench argument. */
 bool parseDriverArgs(const std::vector<std::string> &args,
                      DriverOptions *out, std::string *err);
 
 /** The exact argv the driver execs for shard @p index: the bench
  *  command plus `--shard i/n --artifact-dir <shard-dir>` (and
- *  `--result-cache`/`--progress-fd` when configured), wrapped by the
- *  launcher template or ssh when one is set. Empty (with @p err) when
- *  template expansion fails. */
+ *  `--result-cache`/`--progress-fd` when configured), then the bench
+ *  arguments. */
 std::vector<std::string> buildShardArgv(const DriverOptions &opts,
-                                        unsigned index, std::string *err);
+                                        unsigned index);
 
 /** The artifact filename shard @p index of @p count writes, matching
  *  the bench harness convention: `BENCH_<bench>.shard<i>of<n>.json`,
@@ -242,7 +155,7 @@ struct DriverOutcome
     std::vector<std::string> gateDiffs; ///< populated on exitCode == 1
 };
 
-/** Launch, stream, wait, retry, merge, and gate one distributed sweep.
+/** Launch, stream, wait, retry, merge, and gate one sharded sweep.
  *  Progress/status lines go to stderr; structured results come back in
  *  the DriverOutcome so callers (and tests) never scrape output. */
 DriverOutcome runSweepDriver(const DriverOptions &opts);

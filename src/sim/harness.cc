@@ -41,17 +41,6 @@ printHostPercentiles(const SweepResult &res)
 HarnessOptions
 HarnessOptions::parse(int argc, char **argv, bool lenientArgs)
 {
-    std::vector<std::string> args;
-    args.reserve(argc > 1 ? size_t(argc - 1) : 0);
-    for (int i = 1; i < argc; ++i)
-        args.push_back(argv[i]);
-    return parseArgs(args, lenientArgs);
-}
-
-HarnessOptions
-HarnessOptions::parseArgs(const std::vector<std::string> &args,
-                          bool lenientArgs)
-{
     HarnessOptions o;
     if (const char *d = std::getenv("CONOPT_ARTIFACT_DIR"); d && *d)
         o.run.artifactDir = d;
@@ -93,28 +82,25 @@ HarnessOptions::parseArgs(const std::vector<std::string> &args,
     if (const char *f = std::getenv("CONOPT_PROGRESS_FD"); f && *f)
         progressFdSpec(f, "CONOPT_PROGRESS_FD");
     const auto ipcSampleSpec = [&](const char *s, const char *what) {
-        char *end = nullptr;
-        errno = 0;
-        const unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || errno == ERANGE) {
+        // Strict: strtoull alone would wrap "-1" to 2^64 - 1.
+        if (!parseU64Token(s, &o.run.ipcSampleInterval)) {
             std::fprintf(stderr,
                          "invalid %s '%s' (want a sampling stride "
                          "in retired instructions; 0 = off)\n",
                          what, s);
             std::exit(2);
         }
-        o.run.ipcSampleInterval = uint64_t(v);
     };
     if (const char *s = std::getenv("CONOPT_IPC_SAMPLE"); s && *s)
         ipcSampleSpec(s, "CONOPT_IPC_SAMPLE");
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
+    for (int i = 1; i < argc; ++i) {
+        const std::string a = argv[i];
         const auto value = [&]() -> const char * {
-            if (i + 1 >= args.size()) {
+            if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s requires a value\n", a.c_str());
                 std::exit(2);
             }
-            return args[++i].c_str();
+            return argv[++i];
         };
         if (a == "--artifact-dir") {
             o.run.artifactDir = value();
@@ -295,9 +281,8 @@ artifactFromSweep(const SweepResult &res, const RunOptions &run,
                   const std::vector<std::string> &configs)
 {
     auto art = BenchArtifact::fromSweep(res);
-    // fromSweep() records the *environment's* scale/threads; a wire
-    // request carries the client's values explicitly, so the request
-    // wins whenever it is specified.
+    // fromSweep() records the *environment's* scale/threads; an
+    // explicit RunOptions value wins whenever it is specified.
     art.scale = run.effectiveScale();
     art.threads = run.effectiveThreads();
     if (run.perf)

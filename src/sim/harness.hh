@@ -1,19 +1,15 @@
 /**
  * @file
- * The harness layer of the canonical run schema: parse the CONOPT_*
- * environment and the shared harness flags into a RunOptions
+ * The harness layer every bench binary shares: parse the CONOPT_*
+ * environment and the harness flags into a RunOptions
  * (src/sim/request.hh), and turn finished sweeps into persisted,
  * baseline-gated BENCH_*.json artifacts. Lives in the src/sim library
- * (rather than bench/bench_common.hh, which now merely aliases it) so
- * tools and the standing daemon link the exact same parser and
- * artifact pipeline as the bench binaries without including bench
- * headers.
+ * (bench/bench_common.hh aliases it under bench::) so tests link the
+ * same parser and artifact pipeline as the bench binaries.
  *
  * The environment variables and flags, their semantics, and the exit-2
  * error contract are documented in bench/bench_common.hh (the
- * user-facing header) and README.md; this implementation is
- * byte-compatible with the pre-refactor inline parser — same flags,
- * same env vars, same diagnostics, same exit codes.
+ * user-facing header) and README.md.
  */
 
 #ifndef CONOPT_SIM_HARNESS_HH
@@ -43,9 +39,8 @@ void printSweepProgress(const SweepProgress &p);
  */
 void printHostPercentiles(const SweepResult &res);
 
-/** Harness options shared by every bench binary: the serializable run
- *  description plus the process-local bits (progress sinks, the live
- *  result-cache handle) that never go on the wire. */
+/** Harness options shared by every bench binary: the run description
+ *  plus the progress sinks and the live result-cache handle. */
 struct HarnessOptions
 {
     RunOptions run;
@@ -67,13 +62,6 @@ struct HarnessOptions
      *  duplicate work and clobber the unsharded artifact. */
     static HarnessOptions parse(int argc, char **argv,
                                 bool lenientArgs = false);
-
-    /** parse() over an already-tokenized argument list (no argv[0]).
-     *  `conopt_sweep --connect` folds the bench's `-- args` through
-     *  this so a daemon-backed run interprets harness flags exactly
-     *  like an ephemeral shard would. Same exit-2 contract. */
-    static HarnessOptions parseArgs(const std::vector<std::string> &args,
-                                    bool lenientArgs = false);
 
     /** The composed progress sink: the human stderr printer (with
      *  --progress) and/or the machine-readable line protocol (with
@@ -115,8 +103,7 @@ ArtifactJob configJob(const char *name,
  * only for unsharded runs — whole-figure aggregates cannot be computed
  * from one shard's subset, so the merge contract defers them to the
  * post-merge step. Scale/threads metadata come from @p run
- * (effectiveScale/effectiveThreads), so a daemon serving a wire
- * request reproduces the client's metadata, not its own environment.
+ * (effectiveScale/effectiveThreads).
  */
 BenchArtifact artifactFromSweep(const SweepResult &res,
                                 const RunOptions &run,

@@ -6,12 +6,7 @@
 
 namespace conopt::sim {
 
-std::atomic<uint64_t> SimSession::constructed_{0};
-
-SimSession::SimSession()
-{
-    constructed_.fetch_add(1, std::memory_order_relaxed);
-}
+SimSession::SimSession() = default;
 
 SimSession::~SimSession() = default;
 

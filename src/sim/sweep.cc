@@ -18,8 +18,8 @@
 
 namespace conopt::sim {
 
-// envScale()/envThreads()/parseShard() moved to src/sim/request.cc
-// with the canonical RunOptions/SweepRequest schema.
+// envScale()/envThreads()/parseShard() live in src/sim/request.cc
+// with RunOptions.
 
 namespace {
 

@@ -61,8 +61,8 @@
 namespace conopt::sim {
 
 // kMaxEnvScale/kMaxEnvThreads, envScale(), envThreads(), ShardSpec,
-// and parseShard() live in src/sim/request.hh with the canonical
-// RunOptions/SweepRequest schema they belong to.
+// and parseShard() live in src/sim/request.hh with the RunOptions
+// they belong to.
 
 // ProgramPtr (an immutable, shareable assembled program) lives in
 // src/sim/session.hh with the session that consumes it.
@@ -179,7 +179,9 @@ struct JobResult
     bool fromCache = false;   ///< served by the persistent ResultCache
 };
 
-/** Snapshot handed to the progress callback after each job finishes. */
+/** Snapshot handed to the progress callback after each job finishes.
+ *  A shard launched by conopt_sweep writes it as one CONOPT-PROGRESS
+ *  line (formatProgressLine(), src/sim/driver.hh). */
 struct SweepProgress
 {
     size_t done = 0;   ///< jobs finished so far (including this one)
@@ -201,18 +203,11 @@ struct SweepProgress
      *  until the first non-cache-hit job finishes. */
     double kips = 0.0;
     /** Nearest-rank percentiles of per-job host seconds over finished
-     *  jobs (cache hits included — a served fleet's latency counts the
-     *  cache path too). 0 until the first job finishes. */
+     *  jobs (cache hits included, so the numbers describe what the
+     *  sweep actually waited on). 0 until the first job finishes. */
     double hostP50 = 0.0;
     double hostP95 = 0.0;
     double hostP99 = 0.0;
-    /** Service-side context for daemon-backed shards: the daemon's
-     *  request-queue depth and total SimSessions constructed when the
-     *  job finished. 0/0 for ephemeral (process-per-shard) runs — the
-     *  progress line only carries the keys when one is nonzero, so
-     *  existing v1 consumers and byte-stable logs are unaffected. */
-    uint64_t queueDepth = 0;
-    uint64_t sessions = 0;
 };
 
 /** Invoked after every finished job, serialized under an internal
@@ -267,7 +262,7 @@ struct SweepOptions
         run.threads = threads_;
     }
 
-    /** The serializable run description (src/sim/request.hh). The
+    /** The run description (src/sim/request.hh). The
      *  runner consumes run.threads (0 = CONOPT_THREADS, else hardware
      *  concurrency), run.shard (the slice of the job list this runner
      *  executes — the *full* job list is still normalized and
@@ -303,8 +298,8 @@ struct SweepOptions
      * pre-decode table and resident memory pages stay hot) and only
      * the MachineConfig changes between runs. Default on.
      *
-     * An engine-level execution knob, deliberately NOT part of the
-     * RunOptions wire schema: it cannot change any simulated result,
+     * An engine-level execution knob, deliberately NOT part of
+     * RunOptions: it cannot change any simulated result,
      * only which worker runs a job and in what order. Results still
      * land in submission order and shard slicing happens first, so
      * artifacts are byte-identical with batching on or off

@@ -83,8 +83,10 @@ randomProgram(uint64_t seed)
             break;
           }
           case 6: { // short forward branch
-            const std::string l = "f" + std::to_string(seed) + "_" +
-                                  std::to_string(fwd_label++);
+            std::string l = "f";
+            l += std::to_string(seed);
+            l += '_';
+            l += std::to_string(fwd_label++);
             if (rng.nextBool())
                 a.beq(rs, l);
             else

@@ -1,7 +1,8 @@
 /**
  * @file
- * Distribution-statistics tests: the accumulators behind the fleet
- * observability surface and the per-interval IPC sampling path.
+ * Distribution-statistics tests: the accumulators behind the host
+ * percentiles in progress lines and artifacts, and the per-interval
+ * IPC sampling path.
  *
  * The load-bearing properties:
  *   - ReservoirAccumulator is deterministic for a fixed (seed, stream)

@@ -1,11 +1,11 @@
 /**
  * @file
- * conopt_sweep distributed-driver tests.
+ * conopt_sweep sharded-driver tests.
  *
  * The load-bearing properties:
  *   - the driver-merged artifact is byte-identical to the unsharded
  *     run (after the canonical sort + geomean recompute the driver
- *     performs), so one-command distribution never changes the
+ *     performs), so one-command sharding never changes the
  *     science;
  *   - a crashed, killed, or hung shard is a hard failure (exit 2)
  *     with its captured stderr surfaced — never a silently thinner
@@ -13,8 +13,8 @@
  *     artifact is caught too);
  *   - bounded retry recovers a transient shard failure without
  *     double-counting its partial artifact;
- *   - CLI / launcher-template / progress-line parsing rejects
- *     malformed input up front.
+ *   - CLI and progress-line parsing reject malformed input up front,
+ *     including the retired remote and daemon flags.
  *
  * The test binary doubles as the bench binary the driver launches:
  * when CONOPT_DRIVER_TEST_CHILD is set, main() dispatches to a child
@@ -276,39 +276,6 @@ TEST(ProgressLine, FormatParseRoundTripsExactly)
     EXPECT_TRUE(sim::parseProgressLine(line + "\n", &q));
 }
 
-TEST(ProgressLine, DaemonKeysRoundTripAndStayOffTheEphemeralWire)
-{
-    // Daemon-backed shards annotate the stream with their queue depth
-    // and warm-session count; an ephemeral shard (both zero) must emit
-    // byte-identical v1 lines to the pre-daemon protocol.
-    sim::SweepProgress p;
-    p.done = 2;
-    p.total = 4;
-    p.label = "gzp/opt";
-    const std::string bare = sim::formatProgressLine(p);
-    EXPECT_EQ(bare.find("queue_depth="), std::string::npos) << bare;
-    EXPECT_EQ(bare.find("sessions="), std::string::npos) << bare;
-
-    p.queueDepth = 3;
-    p.sessions = 2;
-    const std::string line = sim::formatProgressLine(p);
-    sim::SweepProgress q;
-    ASSERT_TRUE(sim::parseProgressLine(line, &q)) << line;
-    EXPECT_EQ(q.queueDepth, 3u);
-    EXPECT_EQ(q.sessions, 2u);
-    EXPECT_EQ(q.label, "gzp/opt");
-
-    // A v1 parser that predates the keys sees them as unknown
-    // key=value tokens — and unknown keys are skipped, so the new
-    // wire form stays parseable (regression: forward compatibility).
-    ASSERT_TRUE(sim::parseProgressLine(
-        "CONOPT-PROGRESS v1 done=2 total=4 queue_depth=3 sessions=2 "
-        "brand_new_key=7 label=gzp/opt",
-        &q));
-    EXPECT_EQ(q.queueDepth, 3u);
-    EXPECT_EQ(q.label, "gzp/opt");
-}
-
 TEST(ProgressLine, RejectsMalformedLines)
 {
     sim::SweepProgress q;
@@ -333,144 +300,14 @@ TEST(ProgressLine, RejectsMalformedLines)
 }
 
 // ---------------------------------------------------------------------------
-// Connect-mode scheduling: healthz parsing and the least-loaded pick.
-// The probe is injected as a lambda, so these cover the policy without
-// any sockets or daemons.
+// Shard command composition.
 // ---------------------------------------------------------------------------
-
-TEST(ConnectScheduling, ParsesQueueDepthFromHealthzJson)
-{
-    uint64_t d = 77;
-    // A realistic conopt_served healthz body.
-    EXPECT_TRUE(sim::parseHealthzQueueDepth(
-        "{\"ok\":true,\"uptime_s\":12.5,\"requests\":4,"
-        "\"queue_depth\":3,\"benches\":[\"table1\"]}",
-        &d));
-    EXPECT_EQ(d, 3u);
-    // Whitespace after the colon and a large depth.
-    EXPECT_TRUE(sim::parseHealthzQueueDepth(
-        "{\"queue_depth\":   18446744073709551615}", &d));
-    EXPECT_EQ(d, UINT64_MAX);
-    // Missing key, or a key with garbage where digits belong: d is
-    // left alone.
-    d = 77;
-    EXPECT_FALSE(sim::parseHealthzQueueDepth("{\"ok\":true}", &d));
-    EXPECT_FALSE(
-        sim::parseHealthzQueueDepth("{\"queue_depth\":\"busy\"}", &d));
-    EXPECT_FALSE(sim::parseHealthzQueueDepth("", &d));
-    EXPECT_EQ(d, 77u);
-}
-
-TEST(ConnectScheduling, PicksStrictlySmallestQueueDepth)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    size_t probes = 0;
-    const sim::HealthzProbeFn probe = [&](const std::string &ep,
-                                          uint64_t *depth) {
-        ++probes;
-        *depth = ep == "a:1" ? 5 : ep == "b:1" ? 1 : 3;
-        return true;
-    };
-    // Least-loaded wins from any rotation; every endpoint is probed
-    // exactly once per pick.
-    for (size_t rot = 0; rot < 6; ++rot) {
-        probes = 0;
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, probe), 1u)
-            << "rotation " << rot;
-        EXPECT_EQ(probes, eps.size());
-    }
-}
-
-TEST(ConnectScheduling, RotationBreaksTiesLikeBlindRoundRobin)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    const sim::HealthzProbeFn flat = [](const std::string &,
-                                        uint64_t *depth) {
-        *depth = 2;
-        return true;
-    };
-    // An evenly loaded fleet reproduces the historical rotating
-    // round-robin schedule exactly.
-    for (size_t rot = 0; rot < 7; ++rot)
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, flat), rot % 3)
-            << "rotation " << rot;
-}
-
-TEST(ConnectScheduling, FailedProbesCountAsInfinitelyBusy)
-{
-    const std::vector<std::string> eps{"dead:1", "busy:1", "idle:1"};
-    const sim::HealthzProbeFn probe = [](const std::string &ep,
-                                         uint64_t *depth) {
-        if (ep == "dead:1")
-            return false;
-        *depth = ep == "busy:1" ? 9 : 0;
-        return true;
-    };
-    // The dead daemon never wins, even when rotation starts on it.
-    EXPECT_EQ(sim::pickConnectEndpoint(eps, 0, probe), 2u);
-    // And a reachable-but-busy daemon still beats an unreachable one.
-    const std::vector<std::string> two{"dead:1", "busy:1"};
-    EXPECT_EQ(sim::pickConnectEndpoint(two, 0, probe), 1u);
-}
-
-TEST(ConnectScheduling, AllProbesFailingFallsBackToRotationSlot)
-{
-    const std::vector<std::string> eps{"a:1", "b:1", "c:1"};
-    const sim::HealthzProbeFn dead = [](const std::string &, uint64_t *) {
-        return false;
-    };
-    // Nothing answered: behave exactly like the blind rotation so the
-    // subsequent attempt surfaces the real connection error.
-    for (size_t rot = 0; rot < 5; ++rot)
-        EXPECT_EQ(sim::pickConnectEndpoint(eps, rot, dead), rot % 3)
-            << "rotation " << rot;
-}
-
-// ---------------------------------------------------------------------------
-// Launcher templates and shard command composition.
-// ---------------------------------------------------------------------------
-
-TEST(LauncherTemplate, SubstitutesPlaceholders)
-{
-    sim::LauncherVars vars{"1", "4", "'./bench' '--shard' '1/4'", "hostA"};
-    std::string out, err;
-    ASSERT_TRUE(
-        sim::expandLauncher("srun -n1 {cmd}", vars, &out, &err))
-        << err;
-    EXPECT_EQ(out, "srun -n1 './bench' '--shard' '1/4'");
-
-    ASSERT_TRUE(sim::expandLauncher("wrap {i}/{n} on {host}", vars, &out,
-                                    &err))
-        << err;
-    // No {cmd} in the template: the bench command is appended.
-    EXPECT_EQ(out, "wrap 1/4 on hostA './bench' '--shard' '1/4'");
-}
-
-TEST(LauncherTemplate, RejectsMalformedTemplates)
-{
-    sim::LauncherVars vars{"0", "2", "cmd", ""};
-    std::string out, err;
-    EXPECT_FALSE(sim::expandLauncher("echo {oops} {cmd}", vars, &out,
-                                     &err));
-    EXPECT_NE(err.find("unknown placeholder"), std::string::npos) << err;
-    EXPECT_FALSE(sim::expandLauncher("echo {cmd", vars, &out, &err));
-    EXPECT_NE(err.find("unclosed"), std::string::npos) << err;
-    EXPECT_FALSE(sim::expandLauncher("{host} {cmd}", vars, &out, &err));
-    EXPECT_NE(err.find("{host}"), std::string::npos) << err;
-}
-
-TEST(ShellQuote, QuotesHostileStrings)
-{
-    EXPECT_EQ(sim::shellQuote("plain"), "'plain'");
-    EXPECT_EQ(sim::shellQuote("a b"), "'a b'");
-    EXPECT_EQ(sim::shellQuote("it's"), "'it'\\''s'");
-}
 
 TEST(ShardArtifactName, MatchesHarnessConvention)
 {
     EXPECT_EQ(sim::shardArtifactName("fig6_speedup", 1, 2),
               "BENCH_fig6_speedup.shard1of2.json");
-    // An unsharded "fleet of one" writes the plain artifact name.
+    // An unsharded run of one shard writes the plain artifact name.
     EXPECT_EQ(sim::shardArtifactName("fig6_speedup", 0, 1),
               "BENCH_fig6_speedup.json");
 }
@@ -483,68 +320,13 @@ TEST(BuildShardArgv, LocalDirectExec)
     o.shards = 2;
     o.run.artifactDir = "out";
     o.run.resultCacheDir = "rc";
-    std::string err;
-    const auto argv = sim::buildShardArgv(o, 1, &err);
+    const auto argv = sim::buildShardArgv(o, 1);
     const std::vector<std::string> want = {
         "/bin/bench_bin", "--shard",       "1/2",
         "--artifact-dir", "out/bench_bin.shards",
         "--result-cache", "rc",
         "--progress-fd",  "3"};
     EXPECT_EQ(argv, want);
-}
-
-TEST(BuildShardArgv, LauncherWrapsThroughShell)
-{
-    sim::DriverOptions o;
-    o.benchPath = "./bench";
-    o.benchName = "bench";
-    o.shards = 2;
-    o.launcher = "nice -n 19 {cmd}";
-    std::string err;
-    const auto argv = sim::buildShardArgv(o, 0, &err);
-    ASSERT_EQ(argv.size(), 3u);
-    EXPECT_EQ(argv[0], "/bin/sh");
-    EXPECT_EQ(argv[1], "-c");
-    EXPECT_EQ(argv[2].rfind("nice -n 19 './bench'", 0), 0u) << argv[2];
-}
-
-TEST(BuildShardArgv, SshRoundRobinsHostsWithoutProgressFd)
-{
-    sim::DriverOptions o;
-    o.benchPath = "./bench";
-    o.benchName = "bench";
-    o.shards = 4;
-    o.sshHosts = {"h1", "h2"};
-    std::string err;
-    const auto a3 = sim::buildShardArgv(o, 3, &err);
-    ASSERT_EQ(a3.size(), 4u);
-    EXPECT_EQ(a3[0], "ssh");
-    EXPECT_EQ(a3[2], "h2"); // shard 3 of hosts {h1, h2}
-    EXPECT_EQ(a3[3].rfind("cd ", 0), 0u) << a3[3];
-    EXPECT_NE(a3[3].find("--shard' '3/4'"), std::string::npos) << a3[3];
-    // A pipe fd cannot cross ssh, so no --progress-fd remotely.
-    EXPECT_EQ(a3[3].find("--progress-fd"), std::string::npos) << a3[3];
-}
-
-TEST(BuildShardArgv, LauncherWithSshHostsRotatesHostPlaceholder)
-{
-    // The documented remote-timeout recipe: the template takes over
-    // the wrapping, --ssh supplies the {host} rotation.
-    sim::DriverOptions o;
-    o.benchPath = "./bench";
-    o.benchName = "bench";
-    o.shards = 4;
-    o.launcher = "ssh {host} timeout 3600 {cmd}";
-    o.sshHosts = {"h1", "h2"};
-    std::string err;
-    const auto a0 = sim::buildShardArgv(o, 0, &err);
-    const auto a3 = sim::buildShardArgv(o, 3, &err);
-    ASSERT_EQ(a0.size(), 3u) << err;
-    EXPECT_EQ(a0[0], "/bin/sh");
-    EXPECT_EQ(a0[2].rfind("ssh h1 timeout 3600 ", 0), 0u) << a0[2];
-    EXPECT_EQ(a3[2].rfind("ssh h2 timeout 3600 ", 0), 0u) << a3[2];
-    // Remote shards get no --progress-fd pipe.
-    EXPECT_EQ(a3[2].find("--progress-fd"), std::string::npos) << a3[2];
 }
 
 // ---------------------------------------------------------------------------
@@ -579,34 +361,13 @@ TEST(ParseDriverArgs, AcceptsAFullyLoadedCommandLine)
                                      &err))
         << err;
     EXPECT_EQ(o.benchName, "table1_workloads");
-
-    // The remote-timeout recipe: a launcher template composes with
-    // --ssh, which supplies the {host} rotation.
-    ASSERT_TRUE(sim::parseDriverArgs({"--launcher",
-                                      "ssh {host} timeout 60 {cmd}",
-                                      "--ssh", "h1,h2", "b"},
-                                     &o, &err))
-        << err;
-    EXPECT_EQ(o.sshHosts.size(), 2u);
-
-    // --connect: a comma-separated endpoint rotation; the bench is a
-    // registered name, not a spawned path.
-    ASSERT_TRUE(sim::parseDriverArgs(
-        {"--connect", "hostA:7070,unix:/run/conopt.sock",
-         "table1_workloads"},
-        &o, &err))
-        << err;
-    ASSERT_EQ(o.connectHosts.size(), 2u);
-    EXPECT_EQ(o.connectHosts[0], "hostA:7070");
-    EXPECT_EQ(o.connectHosts[1], "unix:/run/conopt.sock");
-    EXPECT_EQ(o.benchName, "table1_workloads");
 }
 
 TEST(ParseDriverArgs, RejectsMalformedInput)
 {
     sim::DriverOptions o;
     std::string err;
-    const std::vector<std::vector<std::string>> bad = {
+    std::vector<std::vector<std::string>> bad = {
         {},                                    // missing bench
         {"--shards", "0", "b"},                // zero shards
         {"--shards", "2x", "b"},               // trailing garbage
@@ -619,28 +380,25 @@ TEST(ParseDriverArgs, RejectsMalformedInput)
         {"--tolerance", "x", "b"},             // garbage tolerance
         {"--recompute-geomeans", "", "b"},     // empty base config
         {"--bench-name", "a/b", "b"},          // separator in name
-        {"--launcher", "", "b"},               // empty template
-        {"--launcher", "echo {oops}", "b"},    // unknown placeholder
-        {"--launcher", "echo {i", "b"},        // unclosed brace
-        {"--launcher", "{host} {cmd}", "b"},   // {host} without --ssh
-        {"--ssh", "a,,b", "b"},                // empty host
-        {"--ssh", "", "b"},                    // empty host list
-        // --ssh with a template that never uses {host}: every shard
-        // would silently run locally.
-        {"--ssh", "h1,h2", "--launcher", "nice {cmd}", "b"},
-        {"--connect", "", "b"},                // empty endpoint list
-        {"--connect", "a:1,,b:2", "b"},        // empty endpoint
-        // --connect drives a standing fleet; spawning flags make no
-        // sense alongside it.
-        {"--connect", "a:1", "--launcher", "nice {cmd}", "b"},
-        {"--connect", "a:1", "--ssh", "h1", "b"},
         {"--bogus", "b"},                      // unknown flag
         {"bench1", "bench2"},                  // two positionals
     };
+    // The retired remote-launch and daemon flags (name, value): a stale
+    // script must fail loudly instead of silently running locally.
+    const std::vector<std::vector<std::string>> retired = {
+        {"connect", "a:1"}, {"ssh", "h1"}, {"launcher", "{cmd}"}};
+    for (const auto &r : retired)
+        bad.push_back({std::string("--") + r[0], r[1], "b"});
     for (const auto &args : bad) {
         EXPECT_FALSE(sim::parseDriverArgs(args, &o, &err))
             << "accepted:" << ::testing::PrintToString(args);
         EXPECT_FALSE(err.empty());
+    }
+    // They are rejected as unknown flags, so conopt_sweep exits 2.
+    for (size_t i = bad.size() - retired.size(); i < bad.size(); ++i) {
+        EXPECT_FALSE(sim::parseDriverArgs(bad[i], &o, &err));
+        EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
+        EXPECT_EQ(sim::sweepDriverMain(bad[i]), 2) << bad[i][0];
     }
 }
 
@@ -724,7 +482,7 @@ TEST(SweepDriverRun, CrashedShardFailsHardWithStderrSurfaced)
     EXPECT_EQ(out.exitCode, 2);
     EXPECT_NE(out.error.find("failed"), std::string::npos) << out.error;
     EXPECT_TRUE(out.mergedArtifactPath.empty())
-        << "a failed fleet must not merge";
+        << "a failed run must not merge";
     ASSERT_EQ(out.shards.size(), 2u);
     for (const auto &s : out.shards) {
         EXPECT_FALSE(s.ok);
@@ -876,25 +634,4 @@ TEST(SweepDriverRun, MissingBenchBinaryFailsBeforeSpawning)
     EXPECT_NE(out.error.find("not found"), std::string::npos)
         << out.error;
     EXPECT_TRUE(out.shards.empty());
-}
-
-TEST(SweepDriverRun, LauncherTemplateDrivesShardsEndToEnd)
-{
-    TempDir tmp;
-    EnvGuard mode("CONOPT_DRIVER_TEST_CHILD", "bench");
-
-    // A real wrapper template (sh -c path): env-prefix the command.
-    auto o = childDriverOptions(tmp, 2);
-    o.launcher = "CONOPT_THREADS=1 {cmd}";
-    o.geomeanBase = "base";
-    const auto out = sim::runSweepDriver(o);
-    ASSERT_EQ(out.exitCode, 0) << out.error;
-    // Results are scheduling-independent, but the artifact records the
-    // CONOPT_THREADS the shard saw — proof the template took effect.
-    sim::BenchArtifact merged;
-    std::string err;
-    ASSERT_TRUE(sim::loadArtifact(out.mergedArtifactPath, &merged, &err))
-        << err;
-    EXPECT_EQ(merged.threads, 1u);
-    EXPECT_EQ(merged.jobs.size(), 6u);
 }

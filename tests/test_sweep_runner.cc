@@ -12,11 +12,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/pipeline/stats_aggregate.hh"
 #include "src/sim/baseline.hh"
+#include "src/sim/harness.hh"
 #include "src/sim/report.hh"
 #include "src/sim/request.hh"
 #include "src/sim/sweep.hh"
@@ -363,6 +365,43 @@ TEST(EnvThreads, EdgeCases)
     unsetenv("CONOPT_THREADS");
 }
 
+TEST(IpcSampleInterval, SignedOrGarbageStrideExitsTwo)
+{
+    // strtoull would wrap "-1" to 2^64 - 1; the flag and the env var
+    // both take the strict uint64 token parser instead.
+    struct Case
+    {
+        const char *value;
+        bool viaEnv;
+    };
+    for (const Case c : {Case{"-1", false}, Case{"5x", false},
+                         Case{"-1", true}, Case{"5x", true}}) {
+        std::vector<std::string> args = {"bench"};
+        if (!c.viaEnv) {
+            args.push_back("--ipc-sample-interval");
+            args.push_back(c.value);
+        }
+        std::vector<char *> argv;
+        for (auto &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        // The env var is set inside the death-test child only.
+        EXPECT_EXIT(
+            {
+                if (c.viaEnv)
+                    setenv("CONOPT_IPC_SAMPLE", c.value, 1);
+                sim::HarnessOptions::parse(int(args.size()), argv.data());
+            },
+            ::testing::ExitedWithCode(2), "invalid")
+            << (c.viaEnv ? "CONOPT_IPC_SAMPLE=" : "--ipc-sample-interval ")
+            << c.value;
+    }
+
+    std::string prog = "bench", flag = "--ipc-sample-interval", v = "5";
+    char *ok[] = {prog.data(), flag.data(), v.data(), nullptr};
+    EXPECT_EQ(sim::HarnessOptions::parse(3, ok).run.ipcSampleInterval, 5u);
+}
+
 // ---------------------------------------------------------------------------
 // speedup() guards: no division by zero, no fatal on missing labels.
 // ---------------------------------------------------------------------------
@@ -470,92 +509,4 @@ TEST(Reporters, TableContainsSuiteAndValues)
     EXPECT_NE(out.find("SPECint"), std::string::npos);
     EXPECT_NE(out.find("mediabench"), std::string::npos);
     EXPECT_NE(out.find("opt"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// SweepRequest: the one sweep-run schema (src/sim/request.hh).
-// ---------------------------------------------------------------------------
-
-TEST(SweepRequest, EncodeDecodeRoundTripsLosslessly)
-{
-    sim::SweepRequest req;
-    req.bench = "fig6_speedup";
-    req.priority = 3;
-    req.run.shard = {1, 4};
-    req.run.scale = 2;
-    req.run.threads = 8;
-    req.run.ipcSampleInterval = 1000000;
-    req.run.perf = true;
-    req.run.emitArtifact = false;
-    // Doubles with no exact binary representation: %.17g must carry
-    // them bit-for-bit.
-    req.run.tolerance = 0.030000000000000002;
-
-    const std::string json = req.encodeJson();
-    sim::SweepRequest back;
-    std::string err;
-    ASSERT_TRUE(sim::SweepRequest::decode(json, &back, &err)) << err;
-    EXPECT_EQ(back.bench, req.bench);
-    EXPECT_EQ(back.priority, req.priority);
-    EXPECT_EQ(back.run.shard.index, 1u);
-    EXPECT_EQ(back.run.shard.count, 4u);
-    EXPECT_EQ(back.run.scale, 2u);
-    EXPECT_EQ(back.run.threads, 8u);
-    EXPECT_EQ(back.run.ipcSampleInterval, 1000000u);
-    EXPECT_TRUE(back.run.perf);
-    EXPECT_FALSE(back.run.emitArtifact);
-    EXPECT_EQ(back.run.tolerance, req.run.tolerance) << "bit-exact";
-    // Canonical form: re-encoding reproduces the same bytes, so the
-    // fingerprint is stable across the wire.
-    EXPECT_EQ(back.encodeJson(), json);
-    EXPECT_EQ(back.fingerprint(), req.fingerprint());
-}
-
-TEST(SweepRequest, FingerprintSeparatesDistinctRequests)
-{
-    sim::SweepRequest a;
-    a.bench = "table1_workloads";
-    sim::SweepRequest b = a;
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    b.run.scale = 2;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    b = a;
-    b.run.shard = {1, 2};
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    b = a;
-    b.priority = 1;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-}
-
-TEST(SweepRequest, DecodeRejectsMalformedDocuments)
-{
-    sim::SweepRequest ok;
-    ok.bench = "table1_workloads";
-    const std::string good = ok.encodeJson();
-
-    auto rejects = [](const std::string &json, const char *why) {
-        sim::SweepRequest out;
-        std::string err;
-        EXPECT_FALSE(sim::SweepRequest::decode(json, &out, &err)) << why;
-        EXPECT_FALSE(err.empty()) << why;
-    };
-    rejects("", "empty");
-    rejects("{", "truncated JSON");
-    rejects("[1]", "not an object");
-    rejects("{\"schema\":\"conopt-sweep-request\",\"version\":1}",
-            "missing bench");
-    {
-        std::string wrongSchema = good;
-        const size_t at = wrongSchema.find("conopt-sweep-request");
-        ASSERT_NE(at, std::string::npos);
-        wrongSchema.replace(at, 20, "conopt-other-schema!");
-        rejects(wrongSchema, "wrong schema tag");
-    }
-    {
-        std::string wrongVersion = good;
-        const size_t at = wrongVersion.find("\"version\":1");
-        ASSERT_NE(at, std::string::npos);
-        wrongVersion.replace(at, 11, "\"version\":9");
-        rejects(wrongVersion, "future version");
-    }
 }

@@ -1,11 +1,10 @@
 /**
  * @file
- * conopt_sweep: the one-command distributed sweep driver. Launches a
- * bench binary as N shard processes (locally, through a --launcher
- * command template, or round-robin over --ssh hosts), streams their
- * progress, waits with per-shard timeout and bounded retry, merges the
- * shard artifacts, recomputes the deferred figure geomeans, and gates
- * the merged artifact against a baseline. Exit codes match
+ * conopt_sweep: the one-command sharded sweep driver. Launches a bench
+ * binary as N local shard processes, streams their progress, waits
+ * with per-shard timeout and bounded retry, merges the shard
+ * artifacts, recomputes the deferred figure geomeans, and gates the
+ * merged artifact against a baseline. Exit codes match
  * conopt_bench_check: 0 ok, 1 drift, 2 error. All logic lives in
  * sim::sweepDriverMain / sim::runSweepDriver (src/sim/driver.hh) so
  * tests/test_sweep_driver.cc covers the behaviour in-process.
